@@ -1,14 +1,13 @@
 """The two CLI workloads: ``report-paper`` and ``sweep-structures``.
 
-A run makes one cold pass (report) or four (sweep), each in fresh
-processes on a new empty store, spread over the run: each cold pass is
-followed by warm passes (against the first pass's store, now warm) for
-``seconds / cold_passes`` seconds, at least ``MIN_WARM`` of them, and each
-warm pass by one set-up probe, a launch of the no-op ``repro store stats``
-on an empty store.  Warm passes are checked, not timed.  Every time is
-reported as the best of its samples (see ``harness.best``); the samples
-are spread over the whole run so that they outlast short slow spells of
-the host.
+A run measures for ``--seconds``: it opens with set-up probes (launches
+of the no-op ``repro store stats`` on an empty store), then makes a cold
+pass in fresh processes on a new empty store, a warm pass against the
+first cold pass's store (now warm) and more probes, and repeats while
+time remains: the whole cycle for the sweep, the warm pass and probes
+for the report, whose one cold pass takes most of a run.  Warm passes are
+checked, not timed.  Cold times are the best of their samples (see
+``harness.best``); ``setup_s`` is the median of the probes.
 """
 
 import json
@@ -17,10 +16,10 @@ import shutil
 import time
 
 import checks
-from harness import best, class_best, fresh_dir
+from harness import best, class_best, fresh_dir, median
 
-#: Warm passes after each cold pass, at the least.
-MIN_WARM = 1
+#: Set-up probes at the start of a run and after each warm pass.
+PROBES = 3
 
 #: Every paper table and figure (the registry minus the hierarchy
 #: extension figures), in the registry's order.
@@ -63,19 +62,33 @@ def _tree(directory):
     }
 
 
-def _passes(program, seconds, cold_passes, run_cold, run_warm):
-    """Cold passes spread over the run, warm passes and set-up probes
-    between them; returns the best set-up probe."""
+def _passes(program, ctx, run_cold, run_warm, repeat_cold):
+    """Probes, then cold pass, warm pass and probes while time remains.
+
+    ``repeat_cold`` repeats the cold pass too; otherwise only the warm
+    pass and probes repeat.  A traced run makes one cold and one warm
+    pass, so its layer counts do not depend on the host's speed.  Returns
+    the median set-up probe.
+    """
     empty = fresh_dir(program.work / "empty-store")
     probes = []
-    for index in range(cold_passes):
-        run_cold(index)
-        started, warm = time.perf_counter(), 0
-        while warm < MIN_WARM or time.perf_counter() - started < seconds / cold_passes:
-            run_warm(len(probes))
+
+    def probe():
+        for _ in range(PROBES):
             probes.append(program.run(["store", "stats"], empty).wall)
-            warm += 1
-    return best(probes)
+
+    started = time.perf_counter()
+    probe()
+    cold = warm = 0
+    while True:
+        if cold == 0 or repeat_cold:
+            run_cold(cold)
+            cold += 1
+        run_warm(warm)
+        warm += 1
+        probe()
+        if ctx.traced or time.perf_counter() - started >= ctx.seconds:
+            return median(probes)
 
 
 def report_paper(ctx, program):
@@ -104,14 +117,17 @@ def report_paper(ctx, program):
         done = program.run(command(out), first["store"])
         ledger.op(done.ok, "warm report: " + done.stderr[-300:])
         output = (done.stdout.replace(str(out), "<out>"), _tree(out))
+        given = done.ok and cold[0].ok
         ledger.check(output == first["output"],
-                     f"warm report {index} differs from the cold report")
+                     f"warm report {index} differs from the cold report", given)
         ledger.check(_store_snapshot(first["store"]) == first["snapshot"],
-                     f"warm report {index} computed and stored new results")
+                     f"warm report {index} computed and stored new results", given)
         shutil.rmtree(out, ignore_errors=True)
 
-    setup_s = _passes(program, ctx.seconds, 1, run_cold, run_warm)
-    _check_report(ctx, first["output"][1], float(scale))
+    setup_s = _passes(program, ctx, run_cold, run_warm, repeat_cold=False)
+    _check_report(ctx, first["output"][1], float(scale), cold[0].ok)
+    # One command is one operation, so its latency is the cold pass's
+    # wall time: the same number as ``cold_wall_s``, not a second reading.
     return {
         "setup_s": setup_s,
         "cold_wall_s": cold[0].wall,
@@ -120,20 +136,21 @@ def report_paper(ctx, program):
     }
 
 
-def _check_report(ctx, files, scale):
+def _check_report(ctx, files, scale, made):
     """Properties of the method, and a seeded sample of points recomputed
-    by the independent simulator in ``oracle.py``."""
+    by the independent simulator in ``oracle.py``.  ``made``: whether the
+    cold report that wrote ``files`` succeeded."""
     ledger = ctx.ledger
     tables = {}
     for figure in CHECKED_FIGURES:
         raw = files.get(f"{figure}.csv")
-        if ledger.check(raw is not None, f"{figure}.csv missing from the report"):
+        if ledger.check(raw is not None, f"{figure}.csv missing from the report", made):
             tables[figure] = checks.parse_csv(raw.decode("utf-8"))
     if len(tables) < len(CHECKED_FIGURES):
-        ledger.check(False, "report properties: figures missing")
-        ledger.check(False, "report properties: figures missing")
+        ledger.check(False, "report properties: figures missing", made)
+        ledger.check(False, "report properties: figures missing", made)
         for _ in range(3):
-            ledger.check(False, "recomputed points: figures missing")
+            ledger.check(False, "recomputed points: figures missing", made)
         return
     problems = checks.hasse_order(*tables["fig17"])
     ledger.check(not problems, "; ".join(problems[:3]))
@@ -195,22 +212,25 @@ def sweep_structures(ctx, program):
                 cold[name] = payload
             else:
                 first = cold[name] and (cold[name]["x_values"], cold[name]["series"])
-                ledger.check(series is not None and series == first,
-                             f"cold sweep {name} ({index}) differs from cold sweep 0")
+                ledger.check(series == first,
+                             f"cold sweep {name} ({index}) differs from cold sweep 0",
+                             given=payload is not None and cold[name] is not None)
 
     def run_warm(index):
         for name, flags in STRUCTURE_VARIANTS:
             done, payload, series = sweep(flags, stores[0])
             first = cold[name] and (cold[name]["x_values"], cold[name]["series"])
-            ledger.check(series is not None and series == first,
-                         f"warm sweep {name} ({index}) differs from its cold sweep")
-            ledger.check(payload is not None and payload["telemetry"]["computed"] == 0,
-                         f"warm sweep {name} ({index}) computed results")
+            given = payload is not None and cold[name] is not None
+            ledger.check(series == first,
+                         f"warm sweep {name} ({index}) differs from its cold sweep", given)
+            ledger.check(given and payload["telemetry"]["computed"] == 0,
+                         f"warm sweep {name} ({index}) computed results", given)
 
-    setup_s = _passes(program, ctx.seconds, 1 if ctx.traced else 4, run_cold, run_warm)
+    setup_s = _passes(program, ctx, run_cold, run_warm, repeat_cold=True)
     _check_sweeps(ctx, cold, float(scale))
     # A pass is the five variants, each taken at its best; the latency
     # averages the variants (the bare sweep is ~5x faster than the rest).
+    # Every variant runs once per pass, so it is ``cold_wall_s / 5``.
     return {
         "setup_s": setup_s,
         "cold_wall_s": sum(best(walls) for walls in cold_walls.values()),
@@ -225,7 +245,7 @@ def _check_sweeps(ctx, cold, scale):
     for name, _ in STRUCTURE_VARIANTS[1:]:
         variant = cold[name]
         if bare is None or variant is None:
-            ledger.check(False, f"{name}: no sweep output to compare")
+            ledger.check(False, f"{name}: no sweep output to compare", given=False)
             continue
         bare_series = {k: v for k, v in bare["series"].items() if k != "average"}
         series = {k: v for k, v in variant["series"].items() if k != "average"}
@@ -238,7 +258,7 @@ def _check_sweeps(ctx, cold, scale):
     rng = random.Random(ctx.seed)
     for _ in range(2):
         if bare is None:
-            ledger.check(False, "bare sweep missing")
+            ledger.check(False, "bare sweep missing", given=False)
             continue
         workloads = sorted(k for k in bare["series"] if k != "average")
         workload = rng.choice(workloads)

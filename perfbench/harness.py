@@ -90,14 +90,20 @@ class Ledger:
                 self.notes.append(("known fault: " if known else "failed: ") + what)
         return ok
 
-    def check(self, ok: bool, what: str) -> bool:
+    def check(self, ok: bool, what: str, given: bool = True) -> bool:
+        """``given`` false: the output to check is missing because the
+        operation that makes it failed (counted already), so the check
+        fails without calling any output wrong."""
         with self._lock:
             self.attempted += 1
-            if not ok:
+            if not given:
+                self.failed += 1
+                self.notes.append("check without its output: " + what)
+            elif not ok:
                 self.failed += 1
                 self.bad_checks += 1
                 self.notes.append("check failed: " + what)
-        return ok
+        return given and ok
 
     @property
     def correct(self) -> bool:

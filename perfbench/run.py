@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload report-paper --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload report-paper --seed 1 --seconds 30 --trace 0
 
 It builds nothing (the program is pure Python under ``src/``), works in
 ``.perfbench/`` inside the checkout, and prints as its last line one JSON
@@ -57,7 +57,7 @@ class Context:
     tiny: bool
     ledger: Ledger
     #: A traced run does its workload twice, so the CLI workloads make one
-    #: cold pass each time to stay well inside the run's time limit.
+    #: cold and one warm pass each time, whatever ``seconds`` says.
     traced: bool = False
 
 
@@ -65,7 +65,10 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument(
+        "--seconds", type=float, default=30.0,
+        help="how long to measure: the CLI workloads repeat passes until "
+             "it has passed; service-mixed runs seconds/2 rounds, about as long")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--tiny", action="store_true",

@@ -21,6 +21,10 @@ cold latency takes the best sample per job class (one position in the
 mix) and weights the classes by their sample counts (``harness.class_best``).
 ``cold_wall_s`` is the best over rounds of the wall time from a round's
 start to its replay section.  Warm jobs are checked, not timed.
+``setup_s`` is the median time from spawn to the first 200 from
+``/v1/health`` over the server's own start and one start of a second
+server on an empty store after each round, so that the samples are
+spread over the run.
 """
 
 import gzip
@@ -37,12 +41,11 @@ from typing import Dict, List, Optional
 import checks
 from harness import best, class_best, fresh_dir, http, median, reap
 
-SETUP_SAMPLES = 5
-#: Rounds of the mix per second of ``--seconds``: a round takes about
-#: 1.2 s on a 2-core host, so the load lasts about 2.3 x ``--seconds``.
-#: The round count, not a clock, ends the load, so every run does the
-#: same work; 15 rounds keep the best-of-rounds figures steady.
-ROUNDS_PER_SECOND = 1.875
+#: Rounds of the mix per second of ``--seconds``: a round and the set-up
+#: probe after it take about 2 s on a 2-core host.  The round count, not
+#: a clock, ends the load, so every run does the same work and the
+#: server's memory, which grows with every round, is comparable.
+ROUNDS_PER_SECOND = 0.5
 #: Each client replays its first three jobs this many times per round.
 REPLAYS = 2
 READY_TIMEOUT = 60.0
@@ -322,9 +325,10 @@ class Round:
             if gzip_first == (position == 0):
                 body = gzip.compress(body, mtime=0)
             status, record = upload(self.url, body, fmt, self.samples)
-            ledger.op(status in (200, 201), f"upload {fmt}: HTTP {status} {record}")
+            uploaded = ledger.op(status in (200, 201), f"upload {fmt}: HTTP {status} {record}")
             got = {key: record.get(key) for key in counts}
-            ledger.check(got == counts, f"upload {fmt} counted {got}, wrote {counts}")
+            ledger.check(got == counts, f"upload {fmt} counted {got}, wrote {counts}",
+                         given=uploaded)
             hashes.append(record.get("hash"))
             if record.get("hash"):
                 payload = self.payloads.cache_grid(f"ingested:{record['hash']}")
@@ -332,8 +336,9 @@ class Round:
             else:
                 ledger.op(False, "sweep of a failed upload")
                 sweeps.append(None)
-        ledger.check(hashes[0] is not None and hashes[0] == hashes[1],
-                     f"one capture in two forms got hashes {hashes}")
+        ledger.check(hashes[0] == hashes[1],
+                     f"one capture in two forms got hashes {hashes}",
+                     given=None not in hashes)
         return sweeps[0]
 
     def client(self, which):
@@ -361,9 +366,13 @@ class Round:
         else:
             self.a_accepted.wait(timeout=120)
             first_result = self.job(first, "B.fresh")
-        jobs = [(first, first_result), (held, self.job(held, f"{name}.held"))]
+        held_result = self.job(held, f"{name}.held")
+        # Only jobs that finished are replayed; a failed one's replays
+        # count as failed below, so every round attempts the same.
+        jobs = [(payload, result) for payload, result
+                in ((first, first_result), (held, held_result)) if result.ok]
         ingested = self.uploads(which, gzip_first=which == 1)
-        if ingested is not None:
+        if ingested is not None and ingested.ok:
             jobs.append((p.cache_grid(ingested.specs[0]["workload"]), ingested))
         if first_result.ok and (self.oracle_pick < 0.5) == (which == 0):
             index = int(self.oracle_pick * 1000) % len(first_result.specs)
@@ -382,9 +391,10 @@ class Round:
         for _ in range(REPLAYS):
             for position, (payload, original) in enumerate(jobs):
                 replay = self.job(payload, f"{name}.replay-{position}")
-                problems += checks.same(
-                    f"client {name} replay of {payload['kind']} {payload['workloads']}",
-                    original.results, replay.results if replay.ok else None)
+                if replay.ok:
+                    problems += checks.same(
+                        f"client {name} replay of {payload['kind']} {payload['workloads']}",
+                        original.results, replay.results)
             for _ in range(3 - len(jobs)):
                 self.ctx.ledger.op(False, "replay of a failed job")
         self.ctx.ledger.check(not problems, "; ".join(problems))
@@ -396,16 +406,17 @@ class Round:
         for future in futures:
             future.result()
         a, b = self.coalesced
-        problems = checks.same("coalesced pair", a.results if a and a.ok else None,
-                               b.results if b and b.ok else False)
-        self.ctx.ledger.check(not problems, "; ".join(problems))
+        given = bool(a and a.ok and b and b.ok)
+        problems = checks.same("coalesced pair", a.results, b.results) if given else []
+        self.ctx.ledger.check(not problems, "coalesced pair: " + "; ".join(problems),
+                              given=given)
         return self.stamps[1] - started if len(self.stamps) > 1 else 0.0
 
 
 def oracle_check(ledger, sampled):
     """One sampled service result against the reference engines."""
     if sampled is None:
-        ledger.check(False, "no service result sampled for the oracle")
+        ledger.check(False, "no service result sampled for the oracle", given=False)
         return
     from repro.cache.fastsim import simulate_trace
     from repro.exec.keys import ExperimentSpec
@@ -431,24 +442,27 @@ def service_mixed(ctx, program):
     store = fresh_dir(program.work / "store")
     payloads = Payloads(0.05 if ctx.tiny else 0.25)
     server = Server(program, store)
-    setups = []
+    probe = Server(program, program.work / "probe-store")
     samples = Samples()
     rounds = []
+    load_s = 0.0
     try:
-        for _ in range(SETUP_SAMPLES - 1):
-            setups.append(server.start())
-            server.stop()
-        setups.append(server.start())
+        setups = [server.start()]
         with ThreadPoolExecutor(2) as pool:
-            started = time.perf_counter()
             for _ in range(max(1, round(ctx.seconds * ROUNDS_PER_SECOND))):
                 current = Round(ctx, server.url, payloads, len(rounds), samples)
+                started = time.perf_counter()
                 rounds.append((current, current.run(pool)))
-            load_s = time.perf_counter() - started
+                load_s += time.perf_counter() - started
+                fresh_dir(probe.store)
+                setups.append(probe.start())
+                probe.stop()
         _, telemetry = http("GET", server.url + "/v1/telemetry")
     finally:
         # A server that did not start is still a child to stop and reap.
         rss = server.stop() if server.running else 0.0
+        if probe.running:
+            probe.stop()
     for current, _ in rounds:
         oracle_check(ledger, current.sampled)
     layer = {
@@ -461,7 +475,7 @@ def service_mixed(ctx, program):
         "service.coalesced": telemetry.get("service", {}).get("coalesced", 0),
     }
     metrics = {
-        "setup_s": best(setups),
+        "setup_s": median(setups),
         "cold_wall_s": best([cold for _, cold in rounds]),
         "peak_rss_mb": rss,
         "cold_latency_s": class_best(samples.cold),

@@ -58,11 +58,11 @@ def report(workload, sets, metrics):
         gap = (medians[1] - medians[0]) / medians[0] if medians[0] else 0.0
         worst = max(spread([r["metrics"][name]["value"] for r in rs])
                     for rs in sets.values())
-        ok = (name == "setup_s" or worst <= bound) and gap <= bound
+        ok = worst <= bound and abs(gap) <= bound
         verdicts.append(ok)
         print(f"{'':22s} {'':6s} all spread {spread(both):.1%}; B vs A median "
               f"{gap:+.1%}; {'ok' if ok else 'OUT OF BOUND'}"
-              f"{'' if worst <= bound / 3 or name == 'setup_s' else ' (spread > bound/3)'}")
+              f"{'' if worst <= bound / 3 else ' (spread > bound/3)'}")
     shares = {label: {Fraction(r["failed"], r["attempted"]) for r in rs}
               for label, rs in sets.items()}
     print("failed share per set: " + "; ".join(

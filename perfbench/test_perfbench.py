@@ -80,8 +80,48 @@ def test_known_failure_keeps_correct_but_a_bad_check_does_not():
     ledger = Ledger()
     ledger.op(False, "known", known=True)
     assert ledger.correct and ledger.failed == 1
+    ledger.check(False, "output of a failed job", given=False)
+    assert ledger.correct and ledger.failed == 2
     ledger.check(False, "wrong output")
-    assert not ledger.correct and ledger.failed == 2 and ledger.attempted == 2
+    assert not ledger.correct and ledger.failed == 3 and ledger.attempted == 3
+
+
+def test_a_failed_service_job_is_counted_not_fatal(monkeypatch):
+    """Every sweep of an ingested capture fails: the round still ends, the
+    sweeps and the replays they would have had count as failed, and no
+    output is called wrong."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import service_load
+    from run import Context
+
+    counts = {"refs": 1, "reads": 1, "writes": 0}
+    monkeypatch.setattr(service_load, "capture", lambda rng, refs: (b"t", b"d", counts))
+
+    def upload(url, body, fmt, samples):
+        if body == service_load.HIGH_ADDRESS_CAPTURE:
+            return 400, {"error": "address must be non-negative"}
+        return 201, {"hash": "h", **counts}
+
+    def run_job(url, payload, accepted_event=None):
+        if accepted_event is not None:
+            accepted_event.set()
+        if payload["workloads"][0].startswith("ingested:"):
+            return service_load.JobResult(False, error="injected failure")
+        return service_load.JobResult(True, results=[{"read_misses": 1}], specs=[{}])
+
+    monkeypatch.setattr(service_load, "upload", upload)
+    monkeypatch.setattr(service_load, "run_job", run_job)
+    ctx = Context(seed=1, seconds=1, tiny=True, ledger=Ledger())
+    current = service_load.Round(ctx, "http://unused", service_load.Payloads(0.05), 0,
+                                 service_load.Samples())
+    with ThreadPoolExecutor(2) as pool:
+        current.run(pool)
+    # 36 of a round's 37 operations (the oracle check runs after the load):
+    # 4 failed sweeps, 2 replays each of the job they did not make, and
+    # the known fault.
+    assert (ctx.ledger.attempted, ctx.ledger.failed) == (36, 9)
+    assert ctx.ledger.correct, ctx.ledger.notes
 
 
 # -- each check fails on a corrupted result ---------------------------------
